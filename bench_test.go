@@ -311,31 +311,41 @@ func BenchmarkMajorityVote(b *testing.B) {
 }
 
 // BenchmarkBufferAppend contrasts the unbounded buffer against the ring
-// variant (the buffer-implementation ablation from DESIGN.md).
+// variant (the buffer-implementation ablation from DESIGN.md), once per
+// outcome-table path: a few classes, as real series have, keep the table on
+// its linear scan; all-distinct outcomes push it onto its index.
 func BenchmarkBufferAppend(b *testing.B) {
-	b.Run("unbounded", func(b *testing.B) {
-		buf, err := core.NewBuffer(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if i%1024 == 0 {
-				buf.Reset()
+	for _, classes := range []struct {
+		name    string
+		outcome func(i int) int
+	}{
+		{"few", func(i int) int { return i % 4 }},
+		{"distinct", func(i int) int { return i }},
+	} {
+		b.Run(classes.name+"/unbounded", func(b *testing.B) {
+			buf, err := core.NewBuffer(0)
+			if err != nil {
+				b.Fatal(err)
 			}
-			buf.Append(core.Record{Outcome: i, Uncertainty: 0.1})
-		}
-	})
-	b.Run("ring64", func(b *testing.B) {
-		buf, err := core.NewBuffer(64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf.Append(core.Record{Outcome: i, Uncertainty: 0.1})
-		}
-	})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%1024 == 0 {
+					buf.Reset()
+				}
+				buf.Append(core.Record{Outcome: classes.outcome(i), Uncertainty: 0.1})
+			}
+		})
+		b.Run(classes.name+"/ring64", func(b *testing.B) {
+			buf, err := core.NewBuffer(64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Append(core.Record{Outcome: classes.outcome(i), Uncertainty: 0.1})
+			}
+		})
+	}
 }
 
 // ---- serving-layer benchmarks: sharded pool vs single-mutex baseline ----

@@ -230,35 +230,50 @@ type wireStep struct {
 }
 
 // decoder is a minimal JSON scanner over a complete request body. It is
-// allocation-free apart from the quality-vector slab: series ids are
-// zero-copy views into the body where possible, and unknown-field values are
-// skipped without materialising anything.
+// allocation-free in steady state: series ids are zero-copy views into the
+// body where possible, quality vectors come from a reused arena, and
+// unknown-field values are skipped without materialising anything.
 type decoder struct {
 	buf []byte
 	pos int
 
 	// scratch backs escaped-string decoding and quality-key lookups.
 	scratch []byte
-	// slab backs the decoded quality vectors. It is allocated fresh per
-	// request — never pooled — because the wrapper buffers retain each
-	// item's vector after the request completes. Chunks grow geometrically
-	// from one vector up to maxSlabChunkItems, so a single-step request
-	// pays one vector-sized allocation while a full batch amortises to a
-	// handful of chunks.
-	slab      []float64
-	nextChunk int
+	// qf backs the decoded quality vectors, reused request after request.
+	qf qfArena
 }
-
-// maxSlabChunkItems caps one slab allocation: one allocation per 256 items
-// at the largest, while keeping the retained-memory granularity (a chunk
-// stays alive while any of its vectors is still buffered) modest.
-const maxSlabChunkItems = 256
 
 func (d *decoder) reset(buf []byte) {
 	d.buf = buf
 	d.pos = 0
-	d.slab = nil
-	d.nextChunk = 1
+	d.qf.reset()
+}
+
+// qfArena hands out the quality vectors of one request (or wire frame).
+// The wrapper reads a step's vector during the step and keeps none of it,
+// so the storage is reused by the next request once this one completes.
+type qfArena struct {
+	buf  []float64
+	used int
+}
+
+func (a *qfArena) reset() { a.used = 0 }
+
+// next returns a zeroed quality vector, valid until the next reset.
+func (a *qfArena) next() []float64 {
+	width := len(qualityIndex) + 1
+	if a.used+width > len(a.buf) {
+		// Grow geometrically. Vectors already handed out keep the old
+		// storage alive until the request ends; after the next reset the
+		// larger one serves alone, so a steady-state batch size stops
+		// allocating after its first request.
+		a.buf = make([]float64, max(2*len(a.buf), 8*width))
+		a.used = 0
+	}
+	qf := a.buf[a.used : a.used+width : a.used+width]
+	a.used += width
+	clear(qf)
+	return qf
 }
 
 func (d *decoder) errAt(format string, args ...any) error {
@@ -575,28 +590,6 @@ func (d *decoder) end() error {
 	return nil
 }
 
-// qfVector carves the next quality vector out of the slab.
-func (d *decoder) qfVector() []float64 {
-	width := len(qualityIndex) + 1
-	if len(d.slab) < width {
-		n := d.nextChunk
-		if n < 1 {
-			n = 1
-		}
-		if n > maxSlabChunkItems {
-			n = maxSlabChunkItems
-		}
-		d.slab = make([]float64, width*n)
-		d.nextChunk = n * 8
-	}
-	qf := d.slab[:width:width]
-	d.slab = d.slab[width:]
-	for i := range qf {
-		qf[i] = 0
-	}
-	return qf
-}
-
 // bytesToString returns a zero-copy string view of b; the view is only valid
 // while the backing buffer lives, which the handlers guarantee by holding
 // the pooled body buffer until the response is written.
@@ -626,7 +619,7 @@ func (d *decoder) maybeNull() (bool, error) {
 //
 //tauw:hotpath
 func (d *decoder) decodeStepItem(out *wireStep) error {
-	*out = wireStep{qf: d.qfVector()}
+	*out = wireStep{qf: d.qf.next()}
 	pixelSize := 0.0
 	if isNull, err := d.maybeNull(); isNull || err != nil {
 		if err == nil {
@@ -1019,8 +1012,8 @@ func getScratch() *serveScratch { return servePool.Get().(*serveScratch) }
 
 func (s *serveScratch) release() {
 	// Drop references the pool must not pin: series-id views into the body
-	// buffer die with the length reset; quality vectors are owned by the
-	// wrapper buffers now and must not be reachable from the pool.
+	// buffer die with the length reset, and the quality vectors go back to
+	// the decoder's arena.
 	for i := range s.steps {
 		s.steps[i] = wireStep{}
 	}

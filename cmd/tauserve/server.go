@@ -606,11 +606,11 @@ type batchStepResponse struct {
 	Failed  int                 `json:"failed"`
 }
 
-// handleStepBatch is the hot batch endpoint: body, decoded items, pool
-// batch inputs/results, response structs, and the response bytes all live in
-// one pooled scratch, so a steady-state batch request allocates only the
-// per-item quality vectors the wrappers retain (slab-chunked, one
-// allocation per 256 items) plus transient error strings on failed items.
+// handleStepBatch is the hot batch endpoint: body, decoded items and their
+// quality vectors, pool batch inputs/results, response structs, and the
+// response bytes all live in one pooled scratch. The wrappers keep no
+// quality vector past its step, so a steady-state batch request allocates
+// only transient error strings on failed items.
 func (s *Server) handleStepBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.latBatch.Observe(time.Since(start)) }()

@@ -169,7 +169,7 @@ func (ws *wireServer) isDraining() bool {
 
 // wireScratch is one connection's reusable state: the frame reader's
 // buffer, the response buffer, the batch dispatch arrays, and the quality
-// slab. Checked out once per connection, not per frame.
+// vectors. Checked out once per connection, not per frame.
 type wireScratch struct {
 	rbuf    []byte
 	out     []byte
@@ -180,16 +180,13 @@ type wireScratch struct {
 	bodies  []stepResponse
 	status  []uint16
 
-	// slab backs decoded quality vectors exactly like the JSON decoder's
-	// (codec.go): the wrapper buffers retain each vector, so chunks are
-	// carved, never recycled — allocation amortises to one make per
-	// maxSlabChunkItems frames.
-	slab      []float64
-	nextChunk int
+	// qf backs the decoded quality vectors, reset per frame exactly like
+	// the JSON decoder's arena is per request.
+	qf qfArena
 }
 
 var wireScratchPool = sync.Pool{New: func() any {
-	return &wireScratch{rbuf: make([]byte, 4096), out: make([]byte, 0, 4096), nextChunk: 1}
+	return &wireScratch{rbuf: make([]byte, 4096), out: make([]byte, 0, 4096)}
 }}
 
 func (sc *wireScratch) release() {
@@ -213,26 +210,6 @@ func (sc *wireScratch) release() {
 	sc.status = sc.status[:0]
 	sc.out = sc.out[:0]
 	wireScratchPool.Put(sc)
-}
-
-// qfVector carves the next quality vector out of the connection's slab
-// (same geometric-chunk discipline as the JSON decoder's qfVector).
-func (sc *wireScratch) qfVector() []float64 {
-	width := len(qualityIndex) + 1
-	if len(sc.slab) < width {
-		n := sc.nextChunk
-		if n < 1 {
-			n = 1
-		}
-		if n > maxSlabChunkItems {
-			n = maxSlabChunkItems
-		}
-		sc.slab = make([]float64, width*n)
-		sc.nextChunk = n * 8
-	}
-	qf := sc.slab[:width:width]
-	sc.slab = sc.slab[width:]
-	return qf
 }
 
 // handleConn is one connection's frame loop.
@@ -277,6 +254,7 @@ func appendWireError(out []byte, reqID uint32, status int, msg string) []byte {
 
 // dispatch handles one request frame, appending the response to out.
 func (ws *wireServer) dispatch(f *wire.Frame, out []byte, sc *wireScratch) []byte {
+	sc.qf.reset()
 	switch f.Type {
 	case wire.FrameHello:
 		resp, lenOff := wire.BeginFrame(out, wire.ResponseType(wire.FrameHello), f.ReqID)
@@ -341,7 +319,7 @@ func (sc *wireScratch) decodeWireStepItem(v *wire.StepItemView, out *wireStep) {
 			want, v.NumQuality())
 		return
 	}
-	qf := sc.qfVector()
+	qf := sc.qf.next()
 	for i := 0; i < want; i++ {
 		qf[i] = v.QualityAt(i)
 	}

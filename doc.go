@@ -68,8 +68,7 @@
 // with one bool store under a lock the step already holds), and the
 // Prometheus scrape
 // (monitor.Exposition renders into a pooled buffer with cached visitor
-// closures). The deliberate
-// exception: the per-item quality vectors the wrapper buffers retain are
-// carved from fresh slab chunks (they outlive the request), so a batch
-// request costs one allocation per slab chunk rather than zero.
+// closures). The per-item quality vectors of a batch come from a
+// per-scratch arena reused across requests: the wrapper buffers keep only
+// each step's outcome and uncertainty, never its quality vector.
 package tauw

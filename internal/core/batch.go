@@ -122,10 +122,12 @@ func (p *WrapperPool) StepBatch(items []StepItem, workers int) []BatchResult {
 // without a channel or closures. The returned slice must be used instead of
 // dst (it may be reallocated, exactly like append).
 //
-// Items are grouped by shard before dispatch, which has two effects: a
-// worker takes each shard lock once per batch instead of once per item, and
-// multiple items addressing the same track are applied in their input order
-// (they hash to the same shard, so one worker handles them sequentially).
+// Items are grouped by shard before dispatch, so each shard's items go to
+// one worker and items addressing the same track are applied in their
+// input order (they hash to the same shard, so one worker handles them
+// sequentially). Grouping does not batch the locking: every item goes
+// through Step, which takes its shard lock and its track lock once per
+// item.
 func (p *WrapperPool) StepBatchInto(items []StepItem, workers int, dst []BatchResult) []BatchResult {
 	return p.StepBatchIntoCtx(context.Background(), items, workers, dst)
 }

@@ -246,3 +246,72 @@ func TestWrapperFastPathLifecycleWithEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestBufferStatsMatchMapOracle replays the running statistics against a
+// map holding them the way the buffer always has — add 1-u on append,
+// subtract it on eviction, drop a class when its count reaches zero — over
+// alphabets of up to 24 classes, so the outcome table crosses its
+// linear-scan limit both ways. The taQF must agree bit for bit: the table
+// changes where the statistics live, not one floating-point operation.
+func TestBufferStatsMatchMapOracle(t *testing.T) {
+	type stat struct {
+		count     int
+		certainty float64
+	}
+	for _, limit := range []int{0, 6, 16, 64} {
+		rng := rand.New(rand.NewPCG(uint64(limit), 0x0dd))
+		b, err := NewBuffer(limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := map[int]stat{}
+		var window []Record
+		for step := 0; step < 4000; step++ {
+			if rng.IntN(500) == 0 {
+				b.Reset()
+				clear(oracle)
+				window = window[:0]
+				continue
+			}
+			alphabet := 2 + (step/150)%23
+			// A product keeps low mantissa bits, so 1-u rounds and any
+			// reordering of the certainty arithmetic shows.
+			r := Record{Outcome: rng.IntN(alphabet), Uncertainty: rng.Float64() * rng.Float64()}
+			evicted, wasEvicted := b.Append(r)
+			s := oracle[r.Outcome]
+			s.count++
+			s.certainty += 1 - r.Uncertainty
+			oracle[r.Outcome] = s
+			window = append(window, r)
+			if limit > 0 && len(window) > limit {
+				old := window[0]
+				window = window[1:]
+				if !wasEvicted || evicted.Outcome != old.Outcome || evicted.Uncertainty != old.Uncertainty {
+					t.Fatalf("limit %d step %d: evicted %+v (%v), want %+v", limit, step, evicted, wasEvicted, old)
+				}
+				s := oracle[old.Outcome]
+				s.count--
+				if s.count <= 0 {
+					delete(oracle, old.Outcome)
+				} else {
+					s.certainty -= 1 - old.Uncertainty
+					oracle[old.Outcome] = s
+				}
+			}
+			for fused := 0; fused <= alphabet; fused++ {
+				got, err := b.FeaturesAt(fused)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := oracle[fused]
+				want := [4]float64{float64(s.count) / float64(len(window)), float64(len(window)), float64(len(oracle)), s.certainty}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("limit %d step %d fused %d: taQF[%d] = %v, map oracle %v",
+							limit, step, fused, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -15,8 +15,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"github.com/iese-repro/tauw/internal/fusion"
@@ -57,9 +59,8 @@ type SeriesState struct {
 	// Total is the number of steps since the series began, including
 	// records a full ring buffer has evicted.
 	Total int
-	// Records holds the buffered window in time order. Quality slices alias
-	// the state's internal arena and are only valid until the next snapshot
-	// into this value.
+	// Records holds the buffered window in time order. The buffer keeps no
+	// quality vectors, so every Record's Quality is nil.
 	Records []Record
 	// Stats holds the running per-outcome statistics, sorted by outcome so
 	// two snapshots of the same buffer are identical.
@@ -71,10 +72,6 @@ type SeriesState struct {
 	Tally    fusion.TallyState
 	// Ring holds the live provenance-ring slots in ring order.
 	Ring []ProvEntry
-
-	// arena backs the Records' Quality copies (grown once per snapshot so
-	// the sub-slices never move mid-fill).
-	arena []float64
 }
 
 // SeriesID returns the string series id of a registry-minted track ("s<n>"
@@ -94,25 +91,14 @@ func (pw *pooledWrapper) snapshotInto(trackID int, st *SeriesState) {
 	st.Track = trackID
 	st.Total = w.buf.total
 
-	totalQ := 0
-	w.buf.each(func(r Record) { totalQ += len(r.Quality) })
-	if cap(st.arena) < totalQ {
-		st.arena = make([]float64, 0, totalQ)
-	}
-	st.arena = st.arena[:0]
 	st.Records = st.Records[:0]
-	w.buf.each(func(r Record) {
-		start := len(st.arena)
-		st.arena = append(st.arena, r.Quality...)
-		r.Quality = st.arena[start:len(st.arena):len(st.arena)]
-		st.Records = append(st.Records, r)
-	})
+	w.buf.each(func(s step) { st.Records = append(st.Records, s.record()) })
 
 	st.Stats = st.Stats[:0]
-	for o, s := range w.buf.stats {
-		st.Stats = append(st.Stats, OutcomeStat{Outcome: o, Count: s.count, Certainty: s.certainty})
+	for _, e := range w.buf.stats.Entries() {
+		st.Stats = append(st.Stats, OutcomeStat{Outcome: e.Outcome, Count: e.Count, Certainty: e.Payload})
 	}
-	sortStats(st.Stats)
+	slices.SortFunc(st.Stats, func(a, b OutcomeStat) int { return cmp.Compare(a.Outcome, b.Outcome) })
 
 	st.HasTally = false
 	st.Tally.Clock = 0
@@ -136,20 +122,6 @@ func (pw *pooledWrapper) snapshotInto(trackID int, st *SeriesState) {
 			Leaf:         s.taqimLeaf,
 			Taken:        s.taken,
 		})
-	}
-}
-
-// sortStats orders entries by outcome (insertion sort over the handful of
-// distinct classes one window holds, mirroring fusion.sortVotes).
-func sortStats(stats []OutcomeStat) {
-	for i := 1; i < len(stats); i++ {
-		s := stats[i]
-		j := i - 1
-		for j >= 0 && stats[j].Outcome > s.Outcome {
-			stats[j+1] = stats[j]
-			j--
-		}
-		stats[j+1] = s
 	}
 }
 
@@ -255,22 +227,9 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 
 	// Buffer: records in time order with start=0 is a canonical ring layout
 	// — eviction order from here on matches the uninterrupted original.
-	b := w.buf
-	totalQ := 0
-	for i := range st.Records {
-		totalQ += len(st.Records[i].Quality)
-	}
-	var arena []float64
-	if totalQ > 0 {
-		arena = make([]float64, 0, totalQ)
-	}
+	b := &w.buf
 	for _, r := range st.Records {
-		if len(r.Quality) > 0 {
-			start := len(arena)
-			arena = append(arena, r.Quality...)
-			r.Quality = arena[start:len(arena):len(arena)]
-		}
-		b.records = append(b.records, r)
+		b.records = append(b.records, step{outcome: r.Outcome, uncertainty: r.Uncertainty})
 	}
 	b.start = 0
 	b.full = limit > 0 && len(b.records) == limit
@@ -280,10 +239,11 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 			return fmt.Errorf("core: restore track %d: outcome %d count %d must be positive",
 				st.Track, s.Outcome, s.Count)
 		}
-		if _, dup := b.stats[s.Outcome]; dup {
+		if b.stats.Find(s.Outcome) >= 0 {
 			return fmt.Errorf("core: restore track %d: duplicate stats for outcome %d", st.Track, s.Outcome)
 		}
-		b.stats[s.Outcome] = outcomeStat{count: s.Count, certainty: s.Certainty}
+		e := b.stats.Add(s.Outcome)
+		e.Count, e.Payload = s.Count, s.Certainty
 	}
 
 	// Tally: exact state when both sides speak StatefulTally; otherwise
@@ -352,7 +312,7 @@ func (p *WrapperPool) RestoreTrack(st *SeriesState) error {
 
 // replayTally rebuilds an incremental tally from the buffered window.
 func replayTally(t fusion.Tally, b *Buffer) {
-	b.each(func(r Record) { t.Push(r.Outcome, r.Uncertainty) })
+	b.each(func(s step) { t.Push(s.outcome, s.uncertainty) })
 }
 
 // SetSeriesCounter raises the series-id counter to at least n, so ids

@@ -72,19 +72,24 @@ func (c Config) withDefaults() Config {
 // default majority vote does), Step runs a fast path that is O(1) in the
 // series length and allocation-free in steady state: the fused outcome comes
 // from a running tally, the taQF from the buffer's running statistics, and
-// the taQIM row is assembled into a reused scratch slice. Other fusers fall
-// back to the reference full-series path.
+// the taQIM row is assembled on the stack. Other fusers fall back to the
+// reference full-series path.
 type Wrapper struct {
 	base  *uw.Wrapper
 	taqim *uw.QualityImpactModel
 	fuser fusion.OutcomeFuser
 	feats []Feature
-	buf   *Buffer
+	// buf is held by value: a served series' wrapper and buffer share one
+	// allocation, so a step does not chase a pointer to reach its window.
+	buf Buffer
 	// tally is the incremental fusion state (nil = reference path).
 	tally fusion.Tally
-	// row is the scratch slice taQIM input rows are assembled into.
-	row []float64
 }
+
+// rowStackWidth is the taQIM input row width a step assembles on its
+// stack. The study's row (nine deficit channels, pixel size, four taQF) is
+// 14 wide; a wider custom layout spills the row to the heap.
+const rowStackWidth = 32
 
 // NewWrapper assembles a taUW from a fitted base wrapper and a calibrated
 // timeseries-aware quality impact model (see FitTimeseriesQIM). The feature
@@ -102,7 +107,7 @@ func NewWrapper(base *uw.Wrapper, taqim *uw.QualityImpactModel, cfg Config) (*Wr
 			return nil, fmt.Errorf("core: unknown feature %d", int(f))
 		}
 	}
-	buf, err := NewBuffer(cfg.BufferLimit)
+	buf, err := makeBuffer(cfg.BufferLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +169,7 @@ func (w *Wrapper) stepScopedModel(taqim *uw.QualityImpactModel, outcome int, qua
 	if err != nil {
 		return Result{}, fmt.Errorf("core: base estimate: %w", err)
 	}
-	evicted, wasEvicted := w.buf.Append(Record{Outcome: outcome, Uncertainty: est.Uncertainty, Quality: quality})
+	evicted, wasEvicted := w.buf.Append(Record{Outcome: outcome, Uncertainty: est.Uncertainty})
 	var fused int
 	var taqf [4]float64
 	if w.tally != nil {
@@ -202,7 +207,8 @@ func (w *Wrapper) stepScopedModel(taqim *uw.QualityImpactModel, outcome int, qua
 			return Result{}, err
 		}
 	}
-	row := w.assembleRow(quality, taqf)
+	var stack [rowStackWidth]float64
+	row := w.assembleRow(stack[:0], quality, taqf)
 	u, leaf, err := taqim.Predict(row)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: timeseries-aware estimate: %w", err)
@@ -226,18 +232,15 @@ func (w *Wrapper) stepScopedModel(taqim *uw.QualityImpactModel, outcome int, qua
 	}, nil
 }
 
-// assembleRow concatenates the stateless quality factors with the selected
-// taQF — the input layout of the taQIM — into the wrapper's scratch slice,
-// which is overwritten by the next step. The feature subset was validated at
-// construction, so selection cannot fail.
-func (w *Wrapper) assembleRow(quality []float64, taqf [4]float64) []float64 {
-	row := w.row[:0]
-	row = append(row, quality...)
+// assembleRow appends the stateless quality factors and the selected taQF
+// — the input layout of the taQIM — to dst. The feature subset was
+// validated at construction, so selection cannot fail.
+func (w *Wrapper) assembleRow(dst, quality []float64, taqf [4]float64) []float64 {
+	dst = append(dst, quality...)
 	for _, f := range w.feats {
-		row = append(row, taqf[f-1])
+		dst = append(dst, taqf[f-1])
 	}
-	w.row = row
-	return row
+	return dst
 }
 
 // TAQIM exposes the timeseries-aware quality impact model for inspection
@@ -288,7 +291,7 @@ func (w *UFWrapper) Step(outcome int, quality []float64) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("core: base estimate: %w", err)
 	}
-	w.buf.Append(Record{Outcome: outcome, Uncertainty: est.Uncertainty, Quality: quality})
+	w.buf.Append(Record{Outcome: outcome, Uncertainty: est.Uncertainty})
 	outcomes := w.buf.Outcomes()
 	us := w.buf.Uncertainties()
 	fused, err := w.fuser.Fuse(outcomes, us)

@@ -1,5 +1,7 @@
 package fusion
 
+import "github.com/iese-repro/tauw/internal/otab"
+
 // Tally is the running state of an incremental information-fusion rule: the
 // caller pushes one (outcome, uncertainty) pair per timestep, evicts the
 // oldest pair when its timeseries buffer drops it (ring eviction), and reads
@@ -36,63 +38,57 @@ func (m MajorityVote) NewTally() Tally {
 	if m.TieBreak == LowestUncertainty {
 		return nil
 	}
-	return &majorityTally{votes: make(map[int]voteStat, 8)}
+	return &majorityTally{}
 }
 
 // majorityTally maintains per-outcome vote counts plus the logical time of
-// each outcome's most recent occurrence. The fused outcome is the count
-// argmax; ties go to the larger last-seen time, which is exactly the paper's
-// most-recent tie-break. Eviction always removes the oldest pushed pair, so
-// an outcome's last-seen time only dies when its count reaches zero.
+// each outcome's most recent occurrence (the table entry's payload). The
+// fused outcome is the count argmax; ties go to the larger last-seen time,
+// which is exactly the paper's most-recent tie-break. Eviction always
+// removes the oldest pushed pair, so an outcome's last-seen time only dies
+// when its count reaches zero.
 type majorityTally struct {
-	votes map[int]voteStat
+	votes otab.Table[uint64]
 	clock uint64
-}
-
-// voteStat is one outcome class' running vote state.
-type voteStat struct {
-	count int
-	last  uint64
 }
 
 func (t *majorityTally) Push(outcome int, _ float64) {
 	t.clock++
-	s := t.votes[outcome]
-	s.count++
-	s.last = t.clock
-	t.votes[outcome] = s
+	e := t.votes.Add(outcome)
+	e.Count++
+	e.Payload = t.clock
 }
 
 func (t *majorityTally) Evict(outcome int, _ float64) {
-	s, ok := t.votes[outcome]
-	if !ok {
+	i := t.votes.Find(outcome)
+	if i < 0 {
 		return
 	}
-	if s.count <= 1 {
-		delete(t.votes, outcome)
+	e := &t.votes.Entries()[i]
+	if e.Count <= 1 {
+		t.votes.Delete(i)
 		return
 	}
-	s.count--
-	t.votes[outcome] = s
+	e.Count--
 }
 
 func (t *majorityTally) Reset() {
-	clear(t.votes)
+	t.votes.Reset()
 	t.clock = 0
 }
 
 func (t *majorityTally) Fused() (int, error) {
-	if len(t.votes) == 0 {
+	votes := t.votes.Entries()
+	if len(votes) == 0 {
 		return 0, ErrNoOutcomes
 	}
-	best := 0
-	var bestStat voteStat
-	for o, s := range t.votes {
-		if s.count > bestStat.count || (s.count == bestStat.count && s.last > bestStat.last) {
-			best, bestStat = o, s
+	best := votes[0]
+	for _, e := range votes[1:] {
+		if e.Count > best.Count || (e.Count == best.Count && e.Payload > best.Payload) {
+			best = e
 		}
 	}
-	return best, nil
+	return best.Outcome, nil
 }
 
 // NewTally implements Incremental for the no-fusion baseline: the fused

@@ -121,3 +121,65 @@ func TestMajorityTallyTieBreakExact(t *testing.T) {
 		t.Fatalf("tie after evict fused %d, want 1 (newer last-seen)", got)
 	}
 }
+
+// TestMajorityTallyWideAlphabetExportRestore repeats the differential over
+// an alphabet that drifts between 2 and 24 classes, so the tally's outcome
+// table crosses its linear-scan limit in both directions. Every few
+// operations the tally is exported, checked against the window (sorted by
+// outcome, per-class counts, last-seen clocks), restored into a fresh
+// tally, and the run carries on with the restored copy.
+func TestMajorityTallyWideAlphabetExportRestore(t *testing.T) {
+	oracle := MajorityVote{TieBreak: MostRecent}
+	for seed := uint64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x51de))
+		tally := oracle.NewTally().(StatefulTally)
+		var winO []int
+		var winU []float64
+		var winT []uint64 // the clock of each window entry's push
+		var clock uint64
+		var st TallyState
+		for step := 0; step < 3000; step++ {
+			alphabet := 2 + (step/200)%23
+			if rng.Float64() < 0.5 || len(winO) == 0 {
+				o := rng.IntN(alphabet)
+				u := rng.Float64()
+				clock++
+				tally.Push(o, u)
+				winO, winU, winT = append(winO, o), append(winU, u), append(winT, clock)
+			} else {
+				tally.Evict(winO[0], winU[0])
+				winO, winU, winT = winO[1:], winU[1:], winT[1:]
+			}
+			got, gotErr := tally.Fused()
+			want, wantErr := oracle.Fuse(winO, winU)
+			if (gotErr == nil) != (wantErr == nil) || (gotErr == nil && got != want) {
+				t.Fatalf("seed %d step %d: tally fused %d (%v), oracle %d (%v)", seed, step, got, gotErr, want, wantErr)
+			}
+			if step%61 != 0 {
+				continue
+			}
+			tally.ExportState(&st)
+			counts := map[int]TallyVote{}
+			for i, o := range winO {
+				counts[o] = TallyVote{Outcome: o, Count: counts[o].Count + 1, Last: winT[i]}
+			}
+			if st.Clock != clock || len(st.Votes) != len(counts) {
+				t.Fatalf("seed %d step %d: export clock %d with %d votes, want %d with %d",
+					seed, step, st.Clock, len(st.Votes), clock, len(counts))
+			}
+			for i, v := range st.Votes {
+				if i > 0 && st.Votes[i-1].Outcome >= v.Outcome {
+					t.Fatalf("seed %d step %d: export not sorted by outcome: %v", seed, step, st.Votes)
+				}
+				if v != counts[v.Outcome] {
+					t.Fatalf("seed %d step %d: exported %+v, window holds %+v", seed, step, v, counts[v.Outcome])
+				}
+			}
+			restored := oracle.NewTally().(StatefulTally)
+			if err := restored.RestoreState(&st); err != nil {
+				t.Fatalf("seed %d step %d: restore: %v", seed, step, err)
+			}
+			tally = restored
+		}
+	}
+}

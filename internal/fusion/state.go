@@ -8,7 +8,11 @@
 // encoding lives with the store codec, not here.
 package fusion
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+)
 
 // TallyVote is one outcome class' exported vote state.
 type TallyVote struct {
@@ -23,7 +27,7 @@ type TallyVote struct {
 
 // TallyState is the portable state of an incremental tally. Votes are
 // sorted by outcome so two exports of the same tally are identical
-// regardless of map iteration order.
+// regardless of the order the tally holds its classes in.
 type TallyState struct {
 	// Clock is the tally's logical time (pushes since reset).
 	Clock uint64
@@ -51,23 +55,24 @@ type StatefulTally interface {
 func (t *majorityTally) ExportState(st *TallyState) {
 	st.Clock = t.clock
 	st.Votes = st.Votes[:0]
-	for o, s := range t.votes {
-		st.Votes = append(st.Votes, TallyVote{Outcome: o, Count: s.count, Last: s.last})
+	for _, e := range t.votes.Entries() {
+		st.Votes = append(st.Votes, TallyVote{Outcome: e.Outcome, Count: e.Count, Last: e.Payload})
 	}
-	sortVotes(st.Votes)
+	slices.SortFunc(st.Votes, func(a, b TallyVote) int { return cmp.Compare(a.Outcome, b.Outcome) })
 }
 
 // RestoreState implements StatefulTally.
 func (t *majorityTally) RestoreState(st *TallyState) error {
-	clear(t.votes)
+	t.votes.Reset()
 	for _, v := range st.Votes {
 		if v.Count <= 0 {
 			return fmt.Errorf("fusion: vote count %d for outcome %d must be positive", v.Count, v.Outcome)
 		}
-		if _, dup := t.votes[v.Outcome]; dup {
+		if t.votes.Find(v.Outcome) >= 0 {
 			return fmt.Errorf("fusion: duplicate vote entry for outcome %d", v.Outcome)
 		}
-		t.votes[v.Outcome] = voteStat{count: v.Count, last: v.Last}
+		e := t.votes.Add(v.Outcome)
+		e.Count, e.Payload = v.Count, v.Last
 	}
 	t.clock = st.Clock
 	return nil
@@ -97,19 +102,4 @@ func (t *latestTally) RestoreState(st *TallyState) error {
 		t.outcome, t.n = v.Outcome, v.Count
 	}
 	return nil
-}
-
-// sortVotes orders entries by outcome (insertion sort: the vote map holds
-// the distinct outcomes of one window, a handful of classes in practice,
-// and avoiding sort.Slice keeps the export allocation-free).
-func sortVotes(votes []TallyVote) {
-	for i := 1; i < len(votes); i++ {
-		v := votes[i]
-		j := i - 1
-		for j >= 0 && votes[j].Outcome > v.Outcome {
-			votes[j+1] = votes[j]
-			j--
-		}
-		votes[j+1] = v
-	}
 }

@@ -177,7 +177,10 @@ func (d *decoder) finish() error {
 
 // ------------------------------------------------------- series record --
 
-// AppendSeriesRecord encodes one track snapshot.
+// AppendSeriesRecord encodes one track snapshot. Each buffered record
+// keeps its quality-vector count field, always written as zero: the
+// wrapper no longer keeps quality vectors, and the field lets the decoder
+// read logs whose records still carry them.
 func AppendSeriesRecord(dst []byte, st *core.SeriesState) []byte {
 	dst = append(dst, kindSeries)
 	dst = appendVarint(dst, int64(st.Track))
@@ -187,10 +190,7 @@ func AppendSeriesRecord(dst []byte, st *core.SeriesState) []byte {
 		r := &st.Records[i]
 		dst = appendVarint(dst, int64(r.Outcome))
 		dst = appendF64(dst, r.Uncertainty)
-		dst = appendUvarint(dst, uint64(len(r.Quality)))
-		for _, q := range r.Quality {
-			dst = appendF64(dst, q)
-		}
+		dst = append(dst, 0) // quality-vector count
 	}
 	dst = appendUvarint(dst, uint64(len(st.Stats)))
 	for i := range st.Stats {
@@ -230,8 +230,8 @@ func AppendSeriesRecord(dst []byte, st *core.SeriesState) []byte {
 }
 
 // DecodeSeriesRecord decodes a series record into st, reusing its slice
-// capacity (each record's Quality gets its own backing — restore is a cold
-// path and the wrapper takes ownership).
+// capacity. Quality floats that records written by earlier versions carry
+// are read and discarded, so those state directories still restore.
 func DecodeSeriesRecord(rec []byte, st *core.SeriesState) error {
 	if len(rec) < 1 || rec[0] != kindSeries {
 		return fmt.Errorf("store: not a series record")
@@ -245,11 +245,8 @@ func DecodeSeriesRecord(rec []byte, st *core.SeriesState) error {
 		var r core.Record
 		r.Outcome = d.intv()
 		r.Uncertainty = d.f64()
-		if nq := d.count(8); nq > 0 && d.err == nil {
-			r.Quality = make([]float64, nq)
-			for j := range r.Quality {
-				r.Quality[j] = d.f64()
-			}
+		if nq := d.count(8); d.err == nil {
+			d.b = d.b[8*nq:] // count checked the floats are there
 		}
 		st.Records = append(st.Records, r)
 	}
